@@ -529,19 +529,12 @@ func (c *Client) MemcpyDtoH(src gpu.Ptr, n uint64) ([]byte, error) {
 	if err := c.flushBatch(); err != nil {
 		return nil, err
 	}
-	b, err := c.memcpyDtoH(src, n)
+	out := make([]byte, n)
+	err := c.tr.Read(src, out)
 	if d := c.takeDeferred(); d != nil {
 		return nil, d
 	}
-	return b, err
-}
-
-func (c *Client) memcpyDtoH(src gpu.Ptr, n uint64) ([]byte, error) {
-	if ar, ok := c.tr.(allocReader); ok {
-		return ar.ReadAlloc(src, n)
-	}
-	out := make([]byte, n)
-	if err := c.tr.Read(src, out); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -117,6 +117,10 @@ type serverConn struct {
 	s    *Server
 	ls   *lease        // nil until SRV_ATTACH
 	shed time.Duration // pending AUTH_RETRY hint; consumed by ReplyVerf
+	// dtoh is the connection's DtoH staging buffer. The reply encoder
+	// copies a payload out of it before Dispatch returns, so one
+	// buffer, bounded by oncrpc.MaxRetainedBuffer, serves every read.
+	dtoh []byte
 }
 
 // ReplyVerf stamps the retry-after hint on the reply of a shed call
@@ -664,7 +668,11 @@ func (sc *serverConn) CudaMemcpyDtoh(src uint64, n uint64) (DataResult, error) {
 		return DataResult{Err: overloadCode}, nil
 	}
 	defer sc.end()
-	return sc.s.CudaMemcpyDtoh(src, n)
+	r, err := sc.s.memcpyDtoh(src, n, sc.dtoh)
+	if c := cap(r.Data); c > cap(sc.dtoh) && c <= oncrpc.MaxRetainedBuffer {
+		sc.dtoh = r.Data[:0]
+	}
+	return r, err
 }
 
 func (sc *serverConn) CudaMemcpyDtod(dst, src, n uint64) (int32, error) {

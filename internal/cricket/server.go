@@ -185,6 +185,12 @@ func (s *Server) Epoch() uint64 { return s.epoch }
 // When an observer is (or later becomes) installed, the RPC server's
 // dispatch trace feeds it, so server spans join client spans by trace
 // id.
+//
+// MemData arguments alias the connection's recycled call record (see
+// oncrpc.Dispatcher), and no handler keeps them past its return:
+// MemcpyHtoD and batched HtoD entries copy into device memory, module
+// loading parses the image into fresh memory (cubin.Parse copies
+// kernel code and names), and launches read their params synchronously.
 func (s *Server) Attach(rpcSrv *oncrpc.Server) {
 	RegisterRpcCdVersConn(rpcSrv, func() RpcCdVersHandler { return s.newConn() })
 	s.mu.Lock()
@@ -368,8 +374,24 @@ func (s *Server) CudaMemcpyHtod(dst uint64, data MemData) (int32, error) {
 
 // CudaMemcpyDtoh implements cudaMemcpy(..., cudaMemcpyDeviceToHost).
 func (s *Server) CudaMemcpyDtoh(src uint64, n uint64) (DataResult, error) {
+	return s.memcpyDtoh(src, n, nil)
+}
+
+// memcpyDtoh reads n device bytes at src into scratch when it is large
+// enough, and otherwise into a fresh buffer. Only the runtime allocates
+// that buffer, after validating the device range, so a hostile n cannot
+// make the server allocate more than a live device allocation holds.
+func (s *Server) memcpyDtoh(src, n uint64, scratch []byte) (DataResult, error) {
 	s.count(func(st *ServerStats) { st.Calls++ })
-	b, d, err := s.rt.MemcpyDtoH(gpu.Ptr(src), n)
+	var b []byte
+	var d time.Duration
+	var err error
+	if n <= uint64(cap(scratch)) {
+		b = scratch[:n]
+		d, err = s.rt.MemcpyDtoHInto(gpu.Ptr(src), b)
+	} else {
+		b, d, err = s.rt.MemcpyDtoH(gpu.Ptr(src), n)
+	}
 	s.observeDevice(ProcCudaMemcpyDtoh, d)
 	if err != nil {
 		return DataResult{Err: errCode(err)}, nil

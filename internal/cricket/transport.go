@@ -10,6 +10,7 @@ import (
 	"cricket/internal/cuda"
 	"cricket/internal/gpu"
 	"cricket/internal/netsim"
+	"cricket/internal/xdr"
 )
 
 // This file puts the bulk datapath behind a Transport interface
@@ -76,12 +77,6 @@ type Transport interface {
 	Readv(ptr gpu.Ptr, bufs [][]byte) error
 	Reopen() error
 	Close() error
-}
-
-// allocReader is implemented by transports that can return a
-// server-allocated buffer directly, letting MemcpyDtoH skip one copy.
-type allocReader interface {
-	ReadAlloc(ptr gpu.Ptr, n uint64) ([]byte, error)
 }
 
 // writevSeq is the generic vectored write: consecutive Writes over
@@ -166,16 +161,14 @@ func (t *inlineTransport) Read(ptr gpu.Ptr, dst []byte) error {
 		if n > maxInlineChunk {
 			n = maxInlineChunk
 		}
-		src := uint64(ptr) + uint64(off)
-		var res DataResult
+		var code int32
 		err := c.account(true, c.transferConc(), func(ctx context.Context) (e error) {
-			res, e = c.gen.CudaMemcpyDtohContext(ctx, src, uint64(n))
+			code, e = c.memcpyDtohInto(ctx, ptr+gpu.Ptr(off), dst[off:off+n])
 			return
 		})
-		if err = inband(res.Err, err); err != nil {
+		if err = inband(code, err); err != nil {
 			return err
 		}
-		copy(dst[off:off+n], res.Data)
 		c.addBytes(false, uint64(n))
 		off += n
 		if off >= len(dst) {
@@ -184,27 +177,41 @@ func (t *inlineTransport) Read(ptr gpu.Ptr, dst []byte) error {
 	}
 }
 
-// ReadAlloc returns the server's reply buffer directly when the
-// transfer fits one chunk, saving the copy into a caller buffer.
-func (t *inlineTransport) ReadAlloc(ptr gpu.Ptr, n uint64) ([]byte, error) {
-	if n > maxInlineChunk {
-		out := make([]byte, n)
-		if err := t.Read(ptr, out); err != nil {
-			return nil, err
-		}
-		return out, nil
+// dtohInto decodes a CUDA_MEMCPY_DTOH reply (data_result) straight
+// into the caller's buffer, where the generated DataResult would
+// decode into a fresh slice that a caller then copies out of. A
+// successful reply must carry exactly len(dst) bytes.
+type dtohInto struct {
+	code int32
+	dst  []byte
+}
+
+func (v *dtohInto) UnmarshalXDR(d *xdr.Decoder) error {
+	code, err := d.Int32()
+	if err != nil {
+		return err
 	}
-	c := t.c
-	var res DataResult
-	err := c.account(true, c.transferConc(), func(ctx context.Context) (e error) {
-		res, e = c.gen.CudaMemcpyDtohContext(ctx, uint64(ptr), n)
-		return
-	})
-	if err = inband(res.Err, err); err != nil {
-		return nil, err
+	v.code = code
+	if code != 0 {
+		return nil
 	}
-	c.addBytes(false, n)
-	return res.Data, nil
+	// Clip the capacity so an oversized payload cannot land beyond dst.
+	p, err := d.OpaqueInto(v.dst[:0:len(v.dst)])
+	if err != nil {
+		return err
+	}
+	if len(p) != len(v.dst) {
+		return fmt.Errorf("cricket: DtoH reply carries %d bytes, want %d", len(p), len(v.dst))
+	}
+	return nil
+}
+
+// memcpyDtohInto issues one CUDA_MEMCPY_DTOH for len(dst) bytes at src
+// and decodes the payload into dst, returning the in-band status.
+func (c *Client) memcpyDtohInto(ctx context.Context, src gpu.Ptr, dst []byte) (int32, error) {
+	res := dtohInto{dst: dst}
+	err := c.rpc.CallContext(ctx, ProcCudaMemcpyDtoh, &argsRpcCdVersCudaMemcpyDtoh{A0: uint64(src), A1: uint64(len(dst))}, &res)
+	return res.code, err
 }
 
 func (t *inlineTransport) Writev(ptr gpu.Ptr, bufs [][]byte) error { return writevSeq(t, ptr, bufs) }
@@ -255,43 +262,17 @@ func (t *modelTransport) Read(ptr gpu.Ptr, dst []byte) error {
 		if n > maxInlineChunk {
 			n = maxInlineChunk
 		}
-		src := uint64(ptr) + uint64(off)
-		var res DataResult
 		err := c.directTransfer(n, false, func(ctx context.Context) (int32, error) {
-			var e error
-			res, e = c.gen.CudaMemcpyDtohContext(ctx, src, uint64(n))
-			return res.Err, e
+			return c.memcpyDtohInto(ctx, ptr+gpu.Ptr(off), dst[off:off+n])
 		})
 		if err != nil {
 			return err
 		}
-		copy(dst[off:off+n], res.Data)
 		off += n
 		if off >= len(dst) {
 			return nil
 		}
 	}
-}
-
-func (t *modelTransport) ReadAlloc(ptr gpu.Ptr, n uint64) ([]byte, error) {
-	if n > maxInlineChunk {
-		out := make([]byte, n)
-		if err := t.Read(ptr, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	c := t.c
-	var res DataResult
-	err := c.directTransfer(int(n), false, func(ctx context.Context) (int32, error) {
-		var e error
-		res, e = c.gen.CudaMemcpyDtohContext(ctx, uint64(ptr), n)
-		return res.Err, e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Data, nil
 }
 
 func (t *modelTransport) Writev(ptr gpu.Ptr, bufs [][]byte) error { return writevSeq(t, ptr, bufs) }

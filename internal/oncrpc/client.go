@@ -74,8 +74,17 @@ type Client struct {
 	closed  bool
 	readErr error
 
+	// free pools reply record buffers: readLoop reads each reply into
+	// one, and the call that decodes it gives it back.
+	free chan []byte
+
 	done chan struct{}
 }
+
+// replyPoolSize is how many reply buffers a client keeps for reuse:
+// enough for a few calls in flight at once, each buffer bounded by
+// MaxRetainedBuffer.
+const replyPoolSize = 4
 
 // NewClient returns a Client for program prog, version vers, speaking
 // over conn. The client owns conn and closes it on Close. Credentials
@@ -87,6 +96,7 @@ func NewClient(conn io.ReadWriteCloser, prog, vers uint32) *Client {
 		conn:    conn,
 		rw:      NewRecordWriter(conn),
 		pending: make(map[uint32]chan []byte),
+		free:    make(chan []byte, replyPoolSize),
 		done:    make(chan struct{}),
 	}
 	c.xid.Store(uint32(time.Now().UnixNano())) // unpredictable-ish initial xid
@@ -137,16 +147,19 @@ func (c *Client) SetFragmentSize(size int) {
 func (c *Client) readLoop() {
 	rr := NewRecordReader(c.conn)
 	for {
-		rec, err := rr.ReadRecord()
+		// The buffer is drawn once the reply starts to arrive: by then a
+		// sequential caller has given the previous one back, so a single
+		// buffer, grown to the largest reply, serves every call.
+		rec, err := rr.readRecord(c.getReply)
 		if err != nil {
 			c.failAll(err)
 			return
 		}
-		d := xdr.NewDecoder(bytes.NewReader(rec))
-		xid, err := d.Uint32()
-		if err != nil {
-			continue // malformed record; drop
+		if len(rec) < 4 {
+			c.putReply(rec) // malformed record; drop
+			continue
 		}
+		xid := binary.BigEndian.Uint32(rec)
 		c.mu.Lock()
 		ch, ok := c.pending[xid]
 		if ok {
@@ -155,8 +168,33 @@ func (c *Client) readLoop() {
 		c.mu.Unlock()
 		if ok {
 			ch <- rec
+		} else {
+			// Replies to unknown xids (e.g. timed-out calls) are dropped.
+			c.putReply(rec)
 		}
-		// Replies to unknown xids (e.g. timed-out calls) are dropped.
+	}
+}
+
+// getReply returns a pooled reply buffer, or nil when none is free.
+func (c *Client) getReply() []byte {
+	select {
+	case b := <-c.free:
+		return b
+	default:
+		return nil
+	}
+}
+
+// putReply returns a reply buffer to the pool once nothing refers to
+// it. Buffers grown past MaxRetainedBuffer, and any beyond the pool's
+// size, are left to the garbage collector.
+func (c *Client) putReply(b []byte) {
+	if cap(b) > MaxRetainedBuffer {
+		return
+	}
+	select {
+	case c.free <- b[:0]:
+	default:
 	}
 }
 
@@ -257,6 +295,8 @@ func (c *Client) CallContext(ctx context.Context, proc uint32, args xdr.Marshale
 			tw = time.Now()
 		}
 		err := c.decodeReply(rec, xid, reply)
+		// decodeReply copies everything it keeps out of the record.
+		c.putReply(rec)
 		if tr != nil && tr.End != nil {
 			wire := tw.Sub(t0) - encDur
 			if wire < 0 {
@@ -344,7 +384,11 @@ func (c *Client) send(xid, proc uint32, args xdr.Marshaler, tid uint64, traced b
 	if traced {
 		encDur = time.Since(t0)
 	}
-	if err := c.rw.WriteRecord(c.wb.Bytes()); err != nil {
+	err := c.rw.WriteRecord(c.wb.Bytes())
+	if c.wb.Cap() > MaxRetainedBuffer {
+		c.wb = bytes.Buffer{} // a transient large call; don't pin it
+	}
+	if err != nil {
 		// A failed record write means the connection is gone (the
 		// record may be half-sent, so it cannot be reused either way).
 		return encDur, fmt.Errorf("%w: %w", ErrTransport, err)
@@ -362,7 +406,8 @@ func (c *Client) decodeReply(rec []byte, xid uint32, reply xdr.Unmarshaler) erro
 
 // decodeReplyVerf decodes one reply record, returning the reply
 // verifier alongside any error so callers can inspect backpressure
-// hints even on in-band failures.
+// hints even on in-band failures. It decodes through an io.Reader, so
+// opaque results are copies and rec may be reused afterwards.
 func decodeReplyVerf(rec []byte, xid uint32, reply xdr.Unmarshaler) (OpaqueAuth, error) {
 	r := bytes.NewReader(rec)
 	d := xdr.NewDecoder(r)

@@ -189,6 +189,11 @@ func TestConcurrentServeConnCloseSetTrace(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
+			// A server closed before this goroutine runs refuses the
+			// pipe without closing it (the caller owns it, as in
+			// Serve); closing it here keeps the client from blocking
+			// forever on a write nobody reads.
+			defer srvConn.Close()
 			srv.ServeConn(srvConn)
 		}()
 		go func() {

@@ -15,6 +15,16 @@
 //   - Call / Reply message headers with AUTH_NONE and AUTH_SYS.
 //   - Client: a concurrent, transaction-multiplexing RPC client.
 //   - Server: a multi-program, multi-version RPC server.
+//
+// Record lifetime. Neither side allocates a record per call in steady
+// state. The server reads each call on a connection into that
+// connection's one recycled buffer and decodes the arguments in place
+// (opaque arguments are subslices of the record), so a Dispatcher may
+// use argument bytes only until Dispatch returns. The client reads
+// replies into pooled buffers and hands each back once the reply is
+// decoded; its decoder copies out everything it returns, so results
+// never alias a pooled buffer. Buffers grown past MaxRetainedBuffer
+// are not kept.
 package oncrpc
 
 import (
@@ -161,6 +171,28 @@ func (rr *RecordReader) SetMaxRecordSize(max int) {
 // cleanly closed stream before any fragment it returns io.EOF; a close
 // mid-record returns io.ErrUnexpectedEOF.
 func (rr *RecordReader) ReadRecord() ([]byte, error) {
+	rec, err := rr.ReadRecordInto(nil)
+	if err == nil && rec == nil {
+		rec = []byte{}
+	}
+	return rec, err
+}
+
+// ReadRecordInto is ReadRecord reading into buf's backing array: the
+// record lands in buf[:0], which grows only when the record does not
+// fit its capacity. Callers that recycle the returned slice as the next
+// buf read a stream of similar records with no allocation. The result
+// aliases buf (or its grown replacement); an empty record returns
+// buf[:0].
+func (rr *RecordReader) ReadRecordInto(buf []byte) ([]byte, error) {
+	return rr.readRecord(func() []byte { return buf })
+}
+
+// readRecord is ReadRecordInto with the buffer chosen late: get is
+// called once the record's first fragment header has arrived, which
+// lets a reader that blocks between records pick from buffers freed
+// while it waited.
+func (rr *RecordReader) readRecord(get func() []byte) ([]byte, error) {
 	var out []byte
 	first := true
 	for {
@@ -172,6 +204,9 @@ func (rr *RecordReader) ReadRecord() ([]byte, error) {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, fmt.Errorf("oncrpc: read fragment header: %w", err)
+		}
+		if first {
+			out = get()[:0]
 		}
 		h := binary.BigEndian.Uint32(rr.hdr[:])
 		last := h&lastFragmentBit != 0
@@ -203,9 +238,6 @@ func (rr *RecordReader) ReadRecord() ([]byte, error) {
 		}
 		first = false
 		if last {
-			if out == nil {
-				out = []byte{}
-			}
 			return out, nil
 		}
 	}

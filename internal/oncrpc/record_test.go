@@ -323,3 +323,40 @@ func TestRecordVectoredEmpty(t *testing.T) {
 		}
 	}
 }
+
+// ReadRecordInto reads a record that fits into the caller's buffer in
+// place, and grows a fresh one only when it does not fit.
+func TestRecordReadIntoReusesBuffer(t *testing.T) {
+	var wire bytes.Buffer
+	w := NewRecordWriter(&wire)
+	w.SetFragmentSize(4)
+	msgs := [][]byte{[]byte("fits in place"), []byte("this one is longer than the buffer"), {}}
+	for _, m := range msgs {
+		if err := w.WriteRecord(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewRecordReader(&wire)
+	buf := make([]byte, 3, 16) // stale contents and length are ignored
+	rec, err := r.ReadRecordInto(buf)
+	if err != nil || !bytes.Equal(rec, msgs[0]) {
+		t.Fatalf("record 0 = %q, %v", rec, err)
+	}
+	if &rec[0] != &buf[:1][0] {
+		t.Fatal("record that fits was not read into the caller's buffer")
+	}
+	grown, err := r.ReadRecordInto(rec)
+	if err != nil || !bytes.Equal(grown, msgs[1]) {
+		t.Fatalf("record 1 = %q, %v", grown, err)
+	}
+	if cap(grown) <= cap(buf) {
+		t.Fatalf("grown capacity %d, want more than %d", cap(grown), cap(buf))
+	}
+	empty, err := r.ReadRecordInto(grown)
+	if err != nil || len(empty) != 0 || cap(empty) != cap(grown) {
+		t.Fatalf("empty record: len %d cap %d, %v", len(empty), cap(empty), err)
+	}
+	if _, err := r.ReadRecordInto(empty); err != io.EOF {
+		t.Fatalf("err = %v, want io.EOF", err)
+	}
+}

@@ -360,7 +360,7 @@ func TestRPCMismatchDenied(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := srv.handleRecord(callBuf.Bytes(), &out, newConnScratch()); err != nil {
+	if _, err := srv.handleRecord(callBuf.Bytes(), &out, newConnScratch()); err != nil {
 		t.Fatal(err)
 	}
 	var hdr ReplyHeader
@@ -390,8 +390,12 @@ func TestFailingHandlerDoesNotLeakPartialResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := srv.handleRecord(callBuf.Bytes(), &out, newConnScratch()); err != nil {
+	results, err := srv.handleRecord(callBuf.Bytes(), &out, newConnScratch())
+	if err != nil {
 		t.Fatal(err)
+	}
+	if results != nil {
+		t.Fatalf("failed call returned %d result bytes", len(results))
 	}
 	var reply ReplyHeader
 	if err := xdr.UnmarshalStrict(out.Bytes(), &reply); err != nil {

@@ -30,6 +30,12 @@ var (
 // A Dispatcher executes one procedure of a registered program version.
 // It decodes arguments from dec and encodes results to enc. Results
 // written to enc are discarded unless the dispatcher returns nil.
+//
+// dec reads straight from the received call record, and opaque
+// arguments (xdr.Decoder.Opaque) are subslices of it. The server
+// reuses the record's memory for the connection's next call, so
+// argument bytes are valid only until Dispatch returns: a dispatcher
+// that keeps any of them past that point must copy them.
 type Dispatcher interface {
 	Dispatch(proc uint32, dec *xdr.Decoder, enc *xdr.Encoder) error
 }
@@ -95,7 +101,8 @@ type Server struct {
 // (busy connections drain gracefully).
 type servedConn struct {
 	rwc  io.ReadWriter
-	busy bool // processing a record, reply not yet written (under Server.mu)
+	sc   *connScratch // owned by the serving goroutine
+	busy bool         // processing a record, reply not yet written (under Server.mu)
 }
 
 // closeTransport closes the underlying transport when it is closable.
@@ -241,8 +248,14 @@ func (s *Server) ListenAndServe(addr string) error {
 // connection. The connection is tracked for the server's lifetime:
 // Close closes it (when the transport is an io.Closer) and Shutdown
 // lets its in-flight call finish first.
+//
+// Calls on one connection run strictly one after another, so the
+// connection reads every call record into one recycled buffer and
+// dispatches straight from it: argument bytes are valid only until the
+// Dispatcher returns (see Dispatcher).
 func (s *Server) ServeConn(conn io.ReadWriter) error {
-	cs, err := s.addConn(conn)
+	sc := newConnScratch()
+	cs, err := s.addConn(conn, sc)
 	if err != nil {
 		return err
 	}
@@ -252,11 +265,10 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 		rr.SetMaxRecordSize(s.MaxRecordSize)
 	}
 	rw := NewRecordWriter(conn)
-	sc := newConnScratch()
 	defer sc.connEnd()
 	var reply bytes.Buffer
 	for {
-		rec, err := rr.ReadRecord()
+		rec, err := rr.ReadRecordInto(sc.rec)
 		if err != nil {
 			if s.stopped() {
 				return ErrServerClosed
@@ -265,9 +277,14 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 		}
 		s.setBusy(cs, true)
 		reply.Reset()
-		err = s.handleRecord(rec, &reply, sc)
+		results, err := s.handleRecord(rec, &reply, sc)
+		sc.recycle(rec)
 		if err == nil {
-			err = rw.WriteRecord(reply.Bytes())
+			if len(results) <= maxCopiedResults {
+				reply.Write(results)
+				results = nil
+			}
+			err = rw.WriteRecordv(reply.Bytes(), results)
 		}
 		s.setBusy(cs, false)
 		if err != nil {
@@ -289,13 +306,13 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 // addConn registers a transport, atomically with respect to Close and
 // Shutdown: a stopped server refuses the connection instead of letting
 // it escape both close paths.
-func (s *Server) addConn(rwc io.ReadWriter) (*servedConn, error) {
+func (s *Server) addConn(rwc io.ReadWriter, sc *connScratch) (*servedConn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.draining {
 		return nil, ErrServerClosed
 	}
-	cs := &servedConn{rwc: rwc}
+	cs := &servedConn{rwc: rwc, sc: sc}
 	s.conns[cs] = struct{}{}
 	return cs, nil
 }
@@ -327,15 +344,30 @@ func (s *Server) NumConns() int {
 	return len(s.conns)
 }
 
+// MaxRetainedBuffer bounds the capacity of any buffer this package
+// keeps for reuse once a call is done: a connection's call record and
+// results buffers, and a client's pooled reply records. It is twice
+// what reading one record of a 1 MiB payload grows a fresh buffer to,
+// so bulk copies recycle their buffers; a larger transient record is
+// used once and dropped, and an idle connection never pins it.
+const MaxRetainedBuffer = 4 << 20
+
+// maxCopiedResults is the largest results span a connection copies
+// behind the reply header, so a small reply leaves as one contiguous
+// write; larger results, bulk payloads above all, go out as a second
+// gathered span without the copy.
+const maxCopiedResults = 8 << 10
+
 // connScratch holds one connection's decode/encode state, recycled
 // across records: replies on a connection are strictly sequential, so
-// a single reader, decoder, encoder, and results buffer serve every
-// call. This keeps per-record dispatch overhead out of steady-state
-// allocation (batched hot paths issue many records). It also holds the
-// connection's per-connection dispatcher instances (RegisterConn),
-// minted lazily and told when the connection ends.
+// a single record buffer, decoder, encoder, and results buffer serve
+// every call. This keeps per-record dispatch overhead out of
+// steady-state allocation (batched hot paths issue many records, bulk
+// copies large ones). It also holds the connection's per-connection
+// dispatcher instances (RegisterConn), minted lazily and told when the
+// connection ends.
 type connScratch struct {
-	rd      bytes.Reader
+	rec     []byte // the next call record's buffer (see recycle)
 	dec     *xdr.Decoder
 	enc     *xdr.Encoder
 	results bytes.Buffer
@@ -343,10 +375,24 @@ type connScratch struct {
 }
 
 func newConnScratch() *connScratch {
-	sc := &connScratch{}
-	sc.dec = xdr.NewDecoder(&sc.rd)
-	sc.enc = xdr.NewEncoder(io.Discard)
-	return sc
+	return &connScratch{
+		dec: xdr.NewBytesDecoder(nil),
+		enc: xdr.NewEncoder(io.Discard),
+	}
+}
+
+// recycle keeps the handled record's memory for the next call and
+// drops any buffer grown past MaxRetainedBuffer. The results slice of
+// the reply being written stays valid: dropping only forgets the
+// buffer, it never reuses it.
+func (sc *connScratch) recycle(rec []byte) {
+	if cap(rec) > MaxRetainedBuffer {
+		rec = nil
+	}
+	sc.rec = rec
+	if sc.results.Cap() > MaxRetainedBuffer {
+		sc.results = bytes.Buffer{}
+	}
 }
 
 // connEnd notifies every per-connection dispatcher that its connection
@@ -389,12 +435,15 @@ func (s *Server) dispatcherFor(sc *connScratch, key progVers) (Dispatcher, bool)
 	return d, ok
 }
 
-// handleRecord processes one call record and writes the complete reply
-// record into out, using the connection's recycled scratch state.
-func (s *Server) handleRecord(rec []byte, out *bytes.Buffer, sc *connScratch) error {
-	sc.rd.Reset(rec)
-	sc.dec.Reset(&sc.rd)
+// handleRecord processes one call record, using the connection's
+// recycled scratch state. It writes the reply header into out and
+// returns the results that follow it on the wire (nil unless the call
+// succeeded); the results alias the connection's scratch until the
+// next call. Nothing written and nil results means the call is
+// dropped.
+func (s *Server) handleRecord(rec []byte, out *bytes.Buffer, sc *connScratch) ([]byte, error) {
 	d := sc.dec
+	d.ResetBytes(rec)
 	var call CallHeader
 	if err := call.UnmarshalXDR(d); err != nil {
 		var ve *VersionError
@@ -403,11 +452,11 @@ func (s *Server) handleRecord(rec []byte, out *bytes.Buffer, sc *connScratch) er
 				XID: call.XID, Stat: MsgDenied, RejStat: RPCMismatch,
 				Mismatch: MismatchInfo{Low: RPCVersion, High: RPCVersion},
 			}
-			return sc.encTo(out).Marshal(&hdr)
+			return nil, sc.encTo(out).Marshal(&hdr)
 		}
 		// Undecodable header: nothing sensible to reply; drop the call.
 		s.logf("oncrpc: dropping undecodable call: %v", err)
-		return nil
+		return nil, nil
 	}
 
 	disp, ok := s.dispatcherFor(sc, progVers{call.Prog, call.Vers})
@@ -424,7 +473,7 @@ func (s *Server) handleRecord(rec []byte, out *bytes.Buffer, sc *connScratch) er
 		hdr.Mismatch = rng
 	}
 	if hdr.AccStat != Success {
-		return sc.encTo(out).Marshal(&hdr)
+		return nil, sc.encTo(out).Marshal(&hdr)
 	}
 
 	// Run the dispatcher into a scratch buffer so a failing handler
@@ -460,16 +509,13 @@ func (s *Server) handleRecord(rec []byte, out *bytes.Buffer, sc *connScratch) er
 		tr.Done(call.Proc, TraceID(call.Cred), time.Since(t0), hdr.AccStat)
 	}
 
-	e := sc.encTo(out)
-	if err := e.Marshal(&hdr); err != nil {
-		return err
+	if err := sc.encTo(out).Marshal(&hdr); err != nil {
+		return nil, err
 	}
-	if hdr.AccStat == Success {
-		if _, err := out.Write(sc.results.Bytes()); err != nil {
-			return err
-		}
+	if hdr.AccStat != Success {
+		return nil, nil
 	}
-	return nil
+	return sc.results.Bytes(), nil
 }
 
 // isDecodeError classifies xdr decoding failures as GARBAGE_ARGS.

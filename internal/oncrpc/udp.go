@@ -30,18 +30,21 @@ var ErrTooBigForUDP = fmt.Errorf("oncrpc: message exceeds %d-byte UDP payload", 
 func (s *Server) ServePacket(conn net.PacketConn) error {
 	buf := make([]byte, maxUDPPayload)
 	sc := newConnScratch()
+	var out bytes.Buffer
 	for {
 		n, addr, err := conn.ReadFrom(buf)
 		if err != nil {
 			return err
 		}
-		rec := make([]byte, n)
-		copy(rec, buf[:n])
-		var out bytes.Buffer
-		if err := s.handleRecord(rec, &out, sc); err != nil {
+		// Each datagram is handled before the next is read, so the call
+		// decodes in place (see Dispatcher).
+		out.Reset()
+		results, err := s.handleRecord(buf[:n], &out, sc)
+		if err != nil {
 			s.logf("oncrpc: udp: %v", err)
 			continue
 		}
+		out.Write(results)
 		if out.Len() == 0 || out.Len() > maxUDPPayload {
 			continue // dropped call or oversized reply
 		}

@@ -105,9 +105,11 @@ func TestUDPRetransmission(t *testing.T) {
 			rec := make([]byte, n)
 			copy(rec, buf[:n])
 			var out bytes.Buffer
-			if err := srv.handleRecord(rec, &out, newConnScratch()); err != nil {
+			results, err := srv.handleRecord(rec, &out, newConnScratch())
+			if err != nil {
 				continue
 			}
+			out.Write(results)
 			pc.WriteTo(out.Bytes(), addr)
 		}
 	}()

@@ -329,6 +329,13 @@ func (g *generator) decodeDecl(d *Decl, expr string) {
 			g.pf("if n > uint32(%s) { return fmt.Errorf(\"%s: array too long (%%d)\", n) }\n", g.sizeExpr(d.Size), d.Name)
 		}
 		g.pf("if n > 1<<24 { return fmt.Errorf(\"%s: unreasonable array length %%d\", n) }\n", d.Name)
+		// Bound the count by the bytes actually left (known when decoding
+		// from an in-memory record) before allocating: every element takes
+		// at least min wire bytes, so a short record cannot declare a huge
+		// array.
+		if min := g.typeMinSize(d.Type, map[string]bool{}); min > 0 {
+			g.pf("if rem := d.Remaining(); rem >= 0 && int64(n)*%d > int64(rem) { return fmt.Errorf(\"%s: %%d elements exceed the %%d bytes left: %%w\", n, rem, io.ErrUnexpectedEOF) }\n", min, d.Name)
+		}
 		g.pf("%s = make([]%s, n)\n", expr, g.goType(d.Type))
 		g.pf("for i := range %s {\n", expr)
 		g.decodePlain(d.Type, expr+"[i]")
@@ -339,6 +346,89 @@ func (g *generator) decodeDecl(d *Decl, expr string) {
 		g.decodePlain(d.Type, "(*"+expr+")")
 		g.pf("} else { %s = nil }\n}\n", expr)
 	}
+}
+
+// typeMinSize returns the fewest XDR bytes a value of the type can
+// occupy on the wire. seen breaks recursion through named types (a
+// recursive type reaches itself only through an optional or array,
+// whose minimum is its 4-byte prefix, so 0 is merely conservative).
+func (g *generator) typeMinSize(ts *TypeSpec, seen map[string]bool) int64 {
+	switch ts.Kind {
+	case BaseHyper, BaseUHyper, BaseDouble:
+		return 8
+	case BaseVoid:
+		return 0
+	case BaseNamed:
+	default:
+		return 4 // int, unsigned, float, bool, enum; string/opaque length
+	}
+	name := ts.Name
+	if g.syms.enums[name] {
+		return 4
+	}
+	if seen[name] {
+		return 0
+	}
+	seen[name] = true
+	defer delete(seen, name)
+	if td := g.syms.typedefs[name]; td != nil {
+		return g.declMinSize(td, seen)
+	}
+	for _, st := range g.spec.Structs {
+		if st.Name == name {
+			var sum int64
+			for _, f := range st.Fields {
+				sum += g.declMinSize(f, seen)
+			}
+			return sum
+		}
+	}
+	for _, u := range g.spec.Unions {
+		if u.Name == name {
+			arm := int64(-1)
+			consider := func(d *Decl) {
+				if m := g.declMinSize(d, seen); arm < 0 || m < arm {
+					arm = m
+				}
+			}
+			for _, c := range u.Cases {
+				consider(c.Arm)
+			}
+			if u.Default != nil {
+				consider(u.Default)
+			}
+			if arm < 0 {
+				arm = 0
+			}
+			return g.declMinSize(u.Disc, seen) + arm
+		}
+	}
+	return 0
+}
+
+// declMinSize is typeMinSize for a declaration's decorated type.
+func (g *generator) declMinSize(d *Decl, seen map[string]bool) int64 {
+	switch d.Kind {
+	case DeclVoid:
+		return 0
+	case DeclVarArr, DeclOptional:
+		return 4 // length prefix or discriminant alone
+	case DeclFixedArr:
+		n := g.sizeValue(d.Size)
+		if d.Type.Kind == BaseOpaque {
+			return n + int64((4-n%4)%4)
+		}
+		return n * g.typeMinSize(d.Type, seen)
+	}
+	return g.typeMinSize(d.Type, seen)
+}
+
+// sizeValue resolves a fixed-array size (a literal or a const name).
+func (g *generator) sizeValue(size string) int64 {
+	if v, err := strconv.ParseInt(size, 0, 64); err == nil {
+		return v
+	}
+	return g.syms.consts[size]
 }
 
 func (g *generator) decodePlain(ts *TypeSpec, expr string) {
@@ -405,9 +495,9 @@ func (g *generator) run() ([]byte, error) {
 	}
 	body.emitBoxes()
 
-	g.pf("import (\n\t\"context\"\n\t\"fmt\"\n\n\t%q\n\t%q\n)\n\n", g.opts.RPCImport, g.opts.XDRImport)
+	g.pf("import (\n\t\"context\"\n\t\"fmt\"\n\t\"io\"\n\n\t%q\n\t%q\n)\n\n", g.opts.RPCImport, g.opts.XDRImport)
 	g.pf("// Referenced unconditionally so specs that use only a subset of\n")
-	g.pf("// features still compile.\nvar (\n\t_ = context.Background\n\t_ = fmt.Errorf\n\t_ oncrpc.Dispatcher\n\t_ xdr.Marshaler\n)\n\n")
+	g.pf("// features still compile.\nvar (\n\t_ = context.Background\n\t_ = fmt.Errorf\n\t_ = io.ErrUnexpectedEOF\n\t_ oncrpc.Dispatcher\n\t_ xdr.Marshaler\n)\n\n")
 	g.b.WriteString(body.b.String())
 	return []byte(g.b.String()), nil
 }

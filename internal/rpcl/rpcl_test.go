@@ -362,3 +362,32 @@ func TestQuickParseNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Generated array decoders bound the declared count by the bytes left
+// over each element's minimum wire size, computed through typedefs,
+// structs, unions (shortest arm), fixed arrays, and recursion.
+func TestGenerateArrayCountBound(t *testing.T) {
+	spec, err := Parse(`
+const N = 3;
+typedef unsigned hyper addr;
+union r switch (int err) { case 0: addr a; default: void; };
+struct e { addr p; opaque tag[N]; string s<>; r res; e *next; int ks[2]; };
+struct all { e es<>; r rs<>; hyper hs<>; };
+program p { version v { all GET(void) = 1; } = 1; } = 0x20000003;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := Generate(spec, GenOptions{Package: "bound"})
+	if err != nil {
+		t.Fatalf("Generate: %v\n%s", err, src)
+	}
+	text := strings.Join(strings.Fields(string(src)), " ")
+	// e: 8 (addr) + 4 (opaque[3] padded) + 4 (string) + 4 (r's void arm)
+	// + 4 (optional) + 8 (int[2]) = 32.
+	for _, want := range []string{"int64(n)*32 > int64(rem)", "int64(n)*4 > int64(rem)", "int64(n)*8 > int64(rem)"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %q in\n%s", want, text)
+		}
+	}
+}

@@ -725,12 +725,14 @@ func (e *Engine) commitRound() error {
 					Total:   now.Sub(sl.p.enq),
 					Replica: rep.dev,
 				}
-				sl.p.done <- outcome{resp: resp}
-				*sl = stream{}
-				rep.nActive--
+				// Count the completion before delivering it, so a caller
+				// that reads Stats after Do returns sees it.
 				e.mu.Lock()
 				e.stats.Completed++
 				e.mu.Unlock()
+				sl.p.done <- outcome{resp: resp}
+				*sl = stream{}
+				rep.nActive--
 			}
 		}
 	}

@@ -11,9 +11,18 @@
 // participate in encoding. All limits are explicit: decoders never
 // allocate more than the configured maximum for a variable-length
 // item, which protects servers from hostile length prefixes.
+//
+// A Decoder reads either from an io.Reader (NewDecoder) or from a
+// byte slice already in memory (NewBytesDecoder). The two modes decode
+// identically, with two differences that favour the in-memory record:
+// Opaque returns a subslice of the source instead of a copy, and the
+// decoder knows how many bytes remain (Remaining), so a length prefix
+// larger than the rest of the input fails before anything is
+// allocated.
 package xdr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -272,15 +281,19 @@ func (e *Encoder) Marshal(v Marshaler) error {
 	return e.err
 }
 
-// A Decoder reads XDR-encoded data from an underlying io.Reader.
-// Like Encoder it is sticky-error: after the first failure every
-// method returns the same error.
+// A Decoder reads XDR-encoded data from an underlying io.Reader or
+// byte slice. Like Encoder it is sticky-error: after the first failure
+// every method returns the same error.
 type Decoder struct {
-	r       io.Reader
-	n       int64
-	err     error
-	maxSize int
-	buf     [8]byte
+	r io.Reader
+	// src is the undecoded rest of the source in byte-slice mode
+	// (fromBytes); nil in reader mode.
+	src       []byte
+	fromBytes bool
+	n         int64
+	err       error
+	maxSize   int
+	buf       [8]byte
 }
 
 // NewDecoder returns a Decoder reading from r with the default
@@ -289,12 +302,41 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{r: r, maxSize: DefaultMaxSize}
 }
 
+// NewBytesDecoder returns a Decoder reading from p with the default
+// variable-length limit. Opaque results alias p, so they are valid
+// only as long as p is.
+func NewBytesDecoder(p []byte) *Decoder {
+	d := &Decoder{maxSize: DefaultMaxSize}
+	d.ResetBytes(p)
+	return d
+}
+
 // Reset discards state and retargets the decoder at r, keeping the
 // configured maximum item size.
 func (d *Decoder) Reset(r io.Reader) {
 	d.r = r
+	d.src, d.fromBytes = nil, false
 	d.n = 0
 	d.err = nil
+}
+
+// ResetBytes discards state and retargets the decoder at the byte
+// slice p (see NewBytesDecoder), keeping the configured maximum item
+// size.
+func (d *Decoder) ResetBytes(p []byte) {
+	d.r = nil
+	d.src, d.fromBytes = p, true
+	d.n = 0
+	d.err = nil
+}
+
+// Remaining reports how many undecoded bytes are left in byte-slice
+// mode. A decoder reading from an io.Reader cannot know and reports -1.
+func (d *Decoder) Remaining() int {
+	if !d.fromBytes {
+		return -1
+	}
+	return len(d.src)
 }
 
 // SetMaxSize bounds the length of any variable-length item the decoder
@@ -312,11 +354,28 @@ func (d *Decoder) Len() int64 { return d.n }
 // Err reports the first error encountered while decoding.
 func (d *Decoder) Err() error { return d.err }
 
+// read fills p from the source. Running dry reports io.EOF when no
+// byte was read and io.ErrUnexpectedEOF otherwise, in both modes
+// (io.ReadFull's convention).
 func (d *Decoder) read(p []byte) error {
 	if d.err != nil {
 		return d.err
 	}
-	n, err := io.ReadFull(d.r, p)
+	var n int
+	var err error
+	if d.fromBytes {
+		n = copy(p, d.src)
+		d.src = d.src[n:]
+		switch {
+		case n == len(p):
+		case n == 0:
+			err = io.EOF
+		default:
+			err = io.ErrUnexpectedEOF
+		}
+	} else {
+		n, err = io.ReadFull(d.r, p)
+	}
 	d.n += int64(n)
 	if err != nil {
 		if err == io.ErrUnexpectedEOF || err == io.EOF {
@@ -330,6 +389,13 @@ func (d *Decoder) read(p []byte) error {
 
 // Uint32 decodes an unsigned 32-bit integer.
 func (d *Decoder) Uint32() (uint32, error) {
+	if len(d.src) >= 4 && d.err == nil {
+		// Byte-slice fast path: no staging through d.buf.
+		v := binary.BigEndian.Uint32(d.src)
+		d.src = d.src[4:]
+		d.n += 4
+		return v, nil
+	}
 	if err := d.read(d.buf[:4]); err != nil {
 		return 0, err
 	}
@@ -344,6 +410,12 @@ func (d *Decoder) Int32() (int32, error) {
 
 // Uint64 decodes an unsigned hyper.
 func (d *Decoder) Uint64() (uint64, error) {
+	if len(d.src) >= 8 && d.err == nil {
+		v := binary.BigEndian.Uint64(d.src)
+		d.src = d.src[8:]
+		d.n += 8
+		return v, nil
+	}
 	if err := d.read(d.buf[:8]); err != nil {
 		return 0, err
 	}
@@ -413,44 +485,95 @@ func (d *Decoder) FixedOpaque(p []byte) error {
 	return d.readPad(len(p))
 }
 
-// Opaque decodes variable-length opaque data, enforcing the configured
-// maximum item size.
-func (d *Decoder) Opaque() ([]byte, error) {
+// opaqueLen decodes the length prefix of a variable-length opaque and
+// checks it against the configured maximum and, in byte-slice mode,
+// against the bytes left (body plus padding), so a hostile prefix
+// fails before the caller allocates.
+func (d *Decoder) opaqueLen() (int, error) {
 	n, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if int64(n) > int64(d.maxSize) {
 		d.err = fmt.Errorf("%w: %d > %d", ErrTooLong, n, d.maxSize)
-		return nil, d.err
+		return 0, d.err
+	}
+	if d.fromBytes && int64(n)+int64(Pad(int(n))) > int64(len(d.src)) {
+		d.err = fmt.Errorf("xdr: %d-byte opaque with %d bytes left: %w", n, len(d.src), io.ErrUnexpectedEOF)
+		return 0, d.err
+	}
+	return int(n), nil
+}
+
+// midItem reclassifies running dry inside a variable-length item as an
+// unexpected EOF: its length prefix promised the bytes, so io.EOF at
+// an element boundary is still a truncation. This keeps reader mode's
+// errors identical to byte-slice mode's early checks.
+func (d *Decoder) midItem() error {
+	if errors.Is(d.err, io.EOF) {
+		d.err = fmt.Errorf("xdr: short read after %d bytes: %w", d.n, io.ErrUnexpectedEOF)
+	}
+	return d.err
+}
+
+// arrayLen decodes the count of a variable-length array whose elements
+// take size wire bytes each, checked like opaqueLen.
+func (d *Decoder) arrayLen(size int) (int, error) {
+	n, err := d.Uint32()
+	if err != nil {
+		return 0, err
+	}
+	if int64(n)*int64(size) > int64(d.maxSize) {
+		d.err = fmt.Errorf("%w: %d elements", ErrTooLong, n)
+		return 0, d.err
+	}
+	if d.fromBytes && int64(n)*int64(size) > int64(len(d.src)) {
+		d.err = fmt.Errorf("xdr: %d-element array with %d bytes left: %w", n, len(d.src), io.ErrUnexpectedEOF)
+		return 0, d.err
+	}
+	return int(n), nil
+}
+
+// Opaque decodes variable-length opaque data, enforcing the configured
+// maximum item size. In byte-slice mode the result is a subslice of
+// the source (capacity clipped to its length), not a copy.
+func (d *Decoder) Opaque() ([]byte, error) {
+	n, err := d.opaqueLen()
+	if err != nil {
+		return nil, err
+	}
+	if d.fromBytes {
+		p := d.src[:n:n]
+		d.src = d.src[n:]
+		d.n += int64(n)
+		if err := d.readPad(n); err != nil {
+			return nil, err
+		}
+		return p, nil
 	}
 	p := make([]byte, n)
 	if err := d.FixedOpaque(p); err != nil {
-		return nil, err
+		return nil, d.midItem()
 	}
 	return p, nil
 }
 
 // OpaqueInto decodes variable-length opaque data into dst when it fits
 // (avoiding an allocation) and otherwise allocates. It returns the
-// decoded bytes.
+// decoded bytes, which never alias the source.
 func (d *Decoder) OpaqueInto(dst []byte) ([]byte, error) {
-	n, err := d.Uint32()
+	n, err := d.opaqueLen()
 	if err != nil {
 		return nil, err
 	}
-	if int64(n) > int64(d.maxSize) {
-		d.err = fmt.Errorf("%w: %d > %d", ErrTooLong, n, d.maxSize)
-		return nil, d.err
-	}
 	var p []byte
-	if int(n) <= cap(dst) {
+	if n <= cap(dst) {
 		p = dst[:n]
 	} else {
 		p = make([]byte, n)
 	}
 	if err := d.FixedOpaque(p); err != nil {
-		return nil, err
+		return nil, d.midItem()
 	}
 	return p, nil
 }
@@ -490,18 +613,14 @@ func (d *Decoder) Optional(decode func(*Decoder) error) (present bool, err error
 
 // Uint32Slice decodes a variable-length array of unsigned integers.
 func (d *Decoder) Uint32Slice() ([]uint32, error) {
-	n, err := d.Uint32()
+	n, err := d.arrayLen(4)
 	if err != nil {
 		return nil, err
-	}
-	if int64(n)*4 > int64(d.maxSize) {
-		d.err = fmt.Errorf("%w: %d elements", ErrTooLong, n)
-		return nil, d.err
 	}
 	vs := make([]uint32, n)
 	for i := range vs {
 		if vs[i], err = d.Uint32(); err != nil {
-			return nil, err
+			return nil, d.midItem()
 		}
 	}
 	return vs, nil
@@ -509,18 +628,14 @@ func (d *Decoder) Uint32Slice() ([]uint32, error) {
 
 // Uint64Slice decodes a variable-length array of unsigned hypers.
 func (d *Decoder) Uint64Slice() ([]uint64, error) {
-	n, err := d.Uint32()
+	n, err := d.arrayLen(8)
 	if err != nil {
 		return nil, err
-	}
-	if int64(n)*8 > int64(d.maxSize) {
-		d.err = fmt.Errorf("%w: %d elements", ErrTooLong, n)
-		return nil, d.err
 	}
 	vs := make([]uint64, n)
 	for i := range vs {
 		if vs[i], err = d.Uint64(); err != nil {
-			return nil, err
+			return nil, d.midItem()
 		}
 	}
 	return vs, nil
@@ -528,18 +643,14 @@ func (d *Decoder) Uint64Slice() ([]uint64, error) {
 
 // Float64Slice decodes a variable-length array of doubles.
 func (d *Decoder) Float64Slice() ([]float64, error) {
-	n, err := d.Uint32()
+	n, err := d.arrayLen(8)
 	if err != nil {
 		return nil, err
-	}
-	if int64(n)*8 > int64(d.maxSize) {
-		d.err = fmt.Errorf("%w: %d elements", ErrTooLong, n)
-		return nil, d.err
 	}
 	vs := make([]float64, n)
 	for i := range vs {
 		if vs[i], err = d.Float64(); err != nil {
-			return nil, err
+			return nil, d.midItem()
 		}
 	}
 	return vs, nil
